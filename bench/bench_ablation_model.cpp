@@ -1,4 +1,4 @@
-// Ablation D1 (DESIGN.md): does the paper's Gaussian noise model (Eq. 3-4)
+// Ablation D1: does the paper's Gaussian noise model (Eq. 3-4)
 // actually reproduce the error a *real* behavioral approximate multiplier
 // introduces into a convolution?
 //

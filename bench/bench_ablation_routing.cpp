@@ -1,4 +1,4 @@
-// Ablation D2 (DESIGN.md): is the resilience of the routed layers really
+// Ablation D2: is the resilience of the routed layers really
 // due to the run-time adaptation of the routing coefficients?
 //
 // The paper attributes the high resilience of Caps3D/ClassCaps to the

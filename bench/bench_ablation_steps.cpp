@@ -1,4 +1,4 @@
-// Ablation D3 (DESIGN.md): the paper's Step 4 drills into *non-resilient
+// Ablation D3: the paper's Step 4 drills into *non-resilient
 // groups only*, arguing that "a considerable amount of unuseful testing
 // can be skipped". This bench runs the full methodology and quantifies the
 // exploration savings on both architectures.

@@ -1,4 +1,4 @@
-// Ablation D4 (DESIGN.md): fixed-point wordlength of the CapsNet datapath.
+// Ablation D4: fixed-point wordlength of the CapsNet datapath.
 //
 // The paper adopts 8-bit operands citing CapsAcc [17] ("it was shown to be
 // enough accurate in the computational path of CapsNets"). We verify that

@@ -2,7 +2,7 @@
 // benchmarks (model x dataset pairs of Table II), trained-model caching,
 // and fixed-width table printing.
 //
-// Resilience sweeps run the `tiny()` model profiles (DESIGN.md §4): the
+// Resilience sweeps run the `tiny()` model profiles: the
 // 18-layer DeepCaps / 3-layer CapsNet topologies with every injection
 // site intact, at a channel count a pure-CPU sweep can afford.
 #pragma once

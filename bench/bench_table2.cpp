@@ -3,7 +3,7 @@
 // Fashion-MNIST / MNIST) using accurate arithmetic.
 //
 // Our models are the tiny profiles trained on the synthetic dataset
-// stand-ins (DESIGN.md §4); the reproduction target is "every benchmark
+// stand-ins; the reproduction target is "every benchmark
 // trains to high clean accuracy", not the paper's exact percentages.
 #include <cstdio>
 

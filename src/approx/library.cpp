@@ -72,7 +72,7 @@ Registry build_registry() {
   // --- Paper analogs (Table IV rows, published power/area) ------------
   // The mapping pairs each EvoApprox8B circuit with the behavioral family
   // whose error profile (NM scale, bias sign, Gaussianity) best matches
-  // the published NM/NA columns. See DESIGN.md §4.
+  // the published NM/NA columns.
   r.put(make_exact_multiplier(
       analog("axm_exact", "exact", 0, "mul8u_1JFF", 391.0, 710.0)));
   r.put(make_res_trunc_multiplier(

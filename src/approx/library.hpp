@@ -19,7 +19,7 @@ namespace redcane::approx {
 /// owned by a program-lifetime registry.
 const std::vector<const Multiplier*>& multiplier_library();
 
-/// Lookup by library name (e.g. "axm_drum5"). Aborts on unknown name.
+/// Lookup by library name (e.g. "axm_drum4_dm1"). Aborts on unknown name.
 const Multiplier& multiplier_by_name(const std::string& name);
 
 /// Lookup by paper-analog name (e.g. "mul8u_NGR"). Aborts on unknown name.

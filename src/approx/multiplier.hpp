@@ -4,7 +4,7 @@
 // library's circuits are not reimplemented gate-for-gate here; instead we
 // provide 35 behavioral multipliers drawn from seven published approximate-
 // multiplier design families that span the same spectrum of error
-// magnitude, bias and power savings (see DESIGN.md §4). Each component is
+// magnitude, bias and power savings. Each component is
 // an exact bit-level behavioral model of its circuit family — not a noise
 // generator — so error distributions emerge from real arithmetic.
 //

@@ -43,62 +43,28 @@ CapsNetModel::CapsNetModel(const CapsNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   class_caps_ = std::make_unique<ClassCaps>("ClassCaps", cs, rng);
 }
 
-Tensor CapsNetModel::forward(const Tensor& x, bool train, PerturbationHook* hook) {
-  // Identical op sequence to forward_range(0, num_stages()): the two paths
-  // must stay bit-equal so checkpointed sweeps match full evaluations.
-  Tensor t = conv1_->forward(x, train);
-  emit(hook, "Conv1", OpKind::kMacOutput, t);
-  t = relu1_->forward(t, train);
-  emit(hook, "Conv1", OpKind::kActivation, t);
-  t = primary_->forward_conv(t, train, hook);
-  t = primary_->forward_squash(t, hook);
-  t = class_caps_->forward_votes(t, train, hook);
-  return class_caps_->forward_routing(t, train, hook);
-}
-
-Tensor CapsNetModel::forward_range(int first, int last, StageState& state,
-                                   PerturbationHook* hook, bool record) {
-  // Stages never mutate their input tensors, so the entry boundary (which
-  // may be a shared prefix-cache checkpoint) is read in place, not copied.
-  std::vector<Tensor> scratch;
-  const std::vector<Tensor>* cur = &state.at[static_cast<std::size_t>(first)];
-  for (int k = first; k < last; ++k) {
-    std::vector<Tensor> next;
-    switch (k) {
-      case 0: {
-        Tensor t = conv1_->forward((*cur)[0], /*train=*/false);
-        emit(hook, "Conv1", OpKind::kMacOutput, t);
-        next = {std::move(t)};
-        break;
-      }
-      case 1: {
-        Tensor t = relu1_->forward((*cur)[0], /*train=*/false);
-        emit(hook, "Conv1", OpKind::kActivation, t);
-        next = {std::move(t)};
-        break;
-      }
-      case 2:
-        next = {primary_->forward_conv((*cur)[0], /*train=*/false, hook)};
-        break;
-      case 3:
-        next = {primary_->forward_squash((*cur)[0], hook)};
-        break;
-      case 4:
-        next = {class_caps_->forward_votes((*cur)[0], /*train=*/false, hook)};
-        break;
-      default:
-        next = {class_caps_->forward_routing((*cur)[0], /*train=*/false, hook)};
-        break;
+std::vector<Tensor> CapsNetModel::run_stage(int k, std::span<const Tensor> in, bool train,
+                                            PerturbationHook* hook) {
+  switch (k) {
+    case 0: {
+      Tensor t = conv1_->forward(in[0], train);
+      emit(hook, "Conv1", OpKind::kMacOutput, t);
+      return boundary(std::move(t));
     }
-    if (record) {
-      state.at[static_cast<std::size_t>(k) + 1] = std::move(next);
-      cur = &state.at[static_cast<std::size_t>(k) + 1];
-    } else {
-      scratch = std::move(next);
-      cur = &scratch;
+    case 1: {
+      Tensor t = relu1_->forward(in[0], train);
+      emit(hook, "Conv1", OpKind::kActivation, t);
+      return boundary(std::move(t));
     }
+    case 2:
+      return boundary(primary_->forward_conv(in[0], train, hook));
+    case 3:
+      return boundary(primary_->forward_squash(in[0], hook));
+    case 4:
+      return boundary(class_caps_->forward_votes(in[0], train, hook));
+    default:
+      return boundary(class_caps_->forward_routing(in[0], train, hook));
   }
-  return last == num_stages() ? (*cur)[0] : Tensor();
 }
 
 Tensor CapsNetModel::backward(const Tensor& grad_v) {

@@ -4,7 +4,7 @@
 // `paper()` matches the published hyper-parameters (256 conv channels,
 // 32x8D primary capsules, 10x16D class capsules on 28x28x1 inputs);
 // `tiny()` preserves the topology and every injection site at a scale the
-// pure-CPU resilience sweeps can afford (DESIGN.md §4).
+// pure-CPU resilience sweeps can afford.
 #pragma once
 
 #include <memory>
@@ -43,12 +43,7 @@ class CapsNetModel final : public CapsModel {
  public:
   CapsNetModel(const CapsNetConfig& cfg, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) override;
-  /// Six stages, one per hook-site boundary: Conv1 conv | Conv1 ReLU |
-  /// PrimaryCaps conv | PrimaryCaps squash | ClassCaps votes | routing.
   [[nodiscard]] int num_stages() const override { return 6; }
-  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
-                       bool record) override;
   Tensor backward(const Tensor& grad_v) override;
   std::vector<nn::Param*> params() override;
   [[nodiscard]] std::vector<std::string> layer_names() const override;
@@ -62,6 +57,9 @@ class CapsNetModel final : public CapsModel {
   [[nodiscard]] ClassCaps& class_caps() { return *class_caps_; }
 
  private:
+  std::vector<Tensor> run_stage(int k, std::span<const Tensor> in, bool train,
+                                PerturbationHook* hook) override;
+
   CapsNetConfig cfg_;
   std::unique_ptr<nn::Conv2D> conv1_;
   std::unique_ptr<nn::ReLU> relu1_;

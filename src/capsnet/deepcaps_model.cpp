@@ -99,88 +99,47 @@ DeepCapsModel::DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng) : cfg_(cfg) {
   class_caps_ = std::make_unique<ClassCaps>("ClassCaps", cs, rng);
 }
 
-Tensor DeepCapsModel::forward(const Tensor& x, bool train, PerturbationHook* hook) {
-  // Identical op sequence to forward_range(0, num_stages()): the two paths
-  // must stay bit-equal so checkpointed sweeps match full evaluations.
-  Tensor t = conv1_->forward(x, train);
-  t = bn1_->forward(t, train);
-  emit(hook, "Conv2D", OpKind::kMacOutput, t);
-  t = relu1_->forward(t, train);
-  emit(hook, "Conv2D", OpKind::kActivation, t);
-  if (train) conv_out_shape_ = t.shape();
-  Tensor caps = t.reshaped(Shape{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2),
-                                 cfg_.types, cfg_.dim_block1});
-
-  for (int k = 0; k < 4; ++k) {
-    Block& blk = blocks_[k];
-    const Tensor s = blk.a->forward(caps, train, hook);
-    Tensor main = blk.b->forward(s, train, hook);
+std::vector<Tensor> DeepCapsModel::run_stage(int k, std::span<const Tensor> in, bool train,
+                                             PerturbationHook* hook) {
+  if (k == 0) {
+    Tensor t = conv1_->forward(in[0], train);
+    t = bn1_->forward(t, train);
+    emit(hook, "Conv2D", OpKind::kMacOutput, t);
+    return boundary(std::move(t));
+  }
+  if (k == 1) {
+    Tensor t = relu1_->forward(in[0], train);
+    emit(hook, "Conv2D", OpKind::kActivation, t);
+    if (train) conv_out_shape_ = t.shape();
+    return boundary(t.reshaped(Shape{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2),
+                                     cfg_.types, cfg_.dim_block1}));
+  }
+  if (k == 14) {
+    const Tensor& caps = in[0];
+    if (train) pre_flatten_shape_ = caps.shape();
+    const std::int64_t n = caps.shape().dim(0);
+    const std::int64_t in_caps =
+        caps.shape().dim(1) * caps.shape().dim(2) * caps.shape().dim(3);
+    const Tensor flat = caps.reshaped(Shape{n, in_caps, caps.shape().dim(4)});
+    return boundary(class_caps_->forward(flat, train, hook));
+  }
+  Block& blk = blocks_[(k - 2) / 3];
+  const int phase = (k - 2) % 3;
+  if (phase == 0) {
+    // Strided entry layer; its output feeds both branches.
+    return boundary(blk.a->forward(in[0], train, hook));
+  }
+  if (phase == 1) {
+    // Main pair; the entry tensor rides along for the skip branch.
+    Tensor main = blk.b->forward(in[0], train, hook);
     main = blk.c->forward(main, train, hook);
-    const Tensor skip = (k < 3) ? blk.d->forward(s, train, hook)
-                                : caps3d_->forward(s, train, hook);
-    caps = ops::add(main, skip);
+    std::vector<Tensor> out{in[0]};
+    out.push_back(std::move(main));
+    return out;
   }
-
-  if (train) pre_flatten_shape_ = caps.shape();
-  const std::int64_t n = caps.shape().dim(0);
-  const std::int64_t in_caps =
-      caps.shape().dim(1) * caps.shape().dim(2) * caps.shape().dim(3);
-  const Tensor flat = caps.reshaped(Shape{n, in_caps, caps.shape().dim(4)});
-  return class_caps_->forward(flat, train, hook);
-}
-
-Tensor DeepCapsModel::forward_range(int first, int last, StageState& state,
-                                    PerturbationHook* hook, bool record) {
-  // Stages never mutate their input tensors, so the entry boundary (which
-  // may be a shared prefix-cache checkpoint) is read in place, not copied.
-  std::vector<Tensor> scratch;
-  const std::vector<Tensor>* cur = &state.at[static_cast<std::size_t>(first)];
-  for (int k = first; k < last; ++k) {
-    std::vector<Tensor> next;
-    if (k == 0) {
-      Tensor t = conv1_->forward((*cur)[0], /*train=*/false);
-      t = bn1_->forward(t, /*train=*/false);
-      emit(hook, "Conv2D", OpKind::kMacOutput, t);
-      next = {std::move(t)};
-    } else if (k == 1) {
-      Tensor t = relu1_->forward((*cur)[0], /*train=*/false);
-      emit(hook, "Conv2D", OpKind::kActivation, t);
-      next = {t.reshaped(Shape{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2),
-                               cfg_.types, cfg_.dim_block1})};
-    } else if (k == 14) {
-      const Tensor& caps = (*cur)[0];
-      const std::int64_t n = caps.shape().dim(0);
-      const std::int64_t in_caps =
-          caps.shape().dim(1) * caps.shape().dim(2) * caps.shape().dim(3);
-      const Tensor flat = caps.reshaped(Shape{n, in_caps, caps.shape().dim(4)});
-      next = {class_caps_->forward(flat, /*train=*/false, hook)};
-    } else {
-      Block& blk = blocks_[(k - 2) / 3];
-      const int phase = (k - 2) % 3;
-      if (phase == 0) {
-        // Strided entry layer; its output feeds both branches.
-        next = {blk.a->forward((*cur)[0], /*train=*/false, hook)};
-      } else if (phase == 1) {
-        // Main pair; the entry tensor rides along for the skip branch.
-        Tensor main = blk.b->forward((*cur)[0], /*train=*/false, hook);
-        main = blk.c->forward(main, /*train=*/false, hook);
-        next = {(*cur)[0], std::move(main)};
-      } else {
-        const bool routed = (k - 2) / 3 == 3;
-        const Tensor skip = routed ? caps3d_->forward((*cur)[0], /*train=*/false, hook)
-                                   : blk.d->forward((*cur)[0], /*train=*/false, hook);
-        next = {ops::add((*cur)[1], skip)};
-      }
-    }
-    if (record) {
-      state.at[static_cast<std::size_t>(k) + 1] = std::move(next);
-      cur = &state.at[static_cast<std::size_t>(k) + 1];
-    } else {
-      scratch = std::move(next);
-      cur = &scratch;
-    }
-  }
-  return last == num_stages() ? (*cur)[0] : Tensor();
+  const Tensor skip = blk.d ? blk.d->forward(in[0], train, hook)
+                            : caps3d_->forward(in[0], train, hook);
+  return boundary(ops::add(in[1], skip));
 }
 
 Tensor DeepCapsModel::backward(const Tensor& grad_v) {

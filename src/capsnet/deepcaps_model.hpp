@@ -44,12 +44,7 @@ class DeepCapsModel final : public CapsModel {
  public:
   DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) override;
-  /// 15 stages: conv stem (conv+BN | ReLU), then 3 per residual block
-  /// (strided entry | main pair | skip + sum), then ClassCaps.
   [[nodiscard]] int num_stages() const override { return 15; }
-  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
-                       bool record) override;
   Tensor backward(const Tensor& grad_v) override;
   std::vector<nn::Param*> params() override;
   [[nodiscard]] std::vector<std::string> layer_names() const override;
@@ -64,6 +59,9 @@ class DeepCapsModel final : public CapsModel {
   [[nodiscard]] ClassCaps& class_caps() { return *class_caps_; }
 
  private:
+  std::vector<Tensor> run_stage(int k, std::span<const Tensor> in, bool train,
+                                PerturbationHook* hook) override;
+
   /// Residual capsule block: main = Lc(Lb(La(x))), skip = Ld(La(x)),
   /// output = main + skip (squashed tensors summed, as in DeepCaps).
   struct Block {
@@ -80,6 +78,7 @@ class DeepCapsModel final : public CapsModel {
   Block blocks_[4];
   std::unique_ptr<ConvCaps3D> caps3d_;  ///< Skip branch of block 4.
   std::unique_ptr<ClassCaps> class_caps_;
+  // Backward-only shapes, written by the train forward's stages 14 and 1.
   Shape pre_flatten_shape_;  ///< Rank-5 shape entering ClassCaps.
   Shape conv_out_shape_;     ///< NHWC shape of the conv stem output.
 };

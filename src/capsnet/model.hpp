@@ -2,9 +2,15 @@
 // DeepCaps [24]). The ReD-CaNe methodology (src/core) drives models only
 // through this interface, so it is architecture-agnostic exactly as the
 // paper's flow is.
+//
+// A model writes its op sequence once, as stages (run_stage). CapsModel
+// runs them in the one loop behind forward(), infer() and forward_range(),
+// so full, segmented and training forwards cannot drift apart.
 #pragma once
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capsnet/inject.hpp"
@@ -28,10 +34,13 @@ class CapsModel {
  public:
   virtual ~CapsModel() = default;
 
-  /// Runs inference (train=false) or a cached training forward pass.
-  /// Returns class capsules [N, num_classes, dim]; their L2 lengths are
-  /// the classification scores. `hook` may be null.
-  virtual Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) = 0;
+  /// Runs inference (train=false) or a cached training forward pass over
+  /// every stage. Returns class capsules [N, num_classes, dim]; their L2
+  /// lengths are the classification scores. `x` is read in place and no
+  /// stage boundary is kept. `hook` may be null.
+  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) {
+    return run(0, num_stages(), std::span<const Tensor>(&x, 1), train, hook, nullptr);
+  }
 
   /// Shared-weight inference entry: forward(x, train=false, hook). Safe to
   /// call concurrently from several threads on one model instance — the
@@ -42,11 +51,10 @@ class CapsModel {
     return forward(x, /*train=*/false, hook);
   }
 
-  /// Number of stages of the segmented inference forward. Stage boundaries
-  /// sit immediately after hook-site emits, so a perturbation at a site
-  /// affects only the site's own stage and later ones. The base default is
-  /// a single stage (correct for any model, no prefix-cache benefit).
-  [[nodiscard]] virtual int num_stages() const { return 1; }
+  /// Number of stages of the segmented forward. Stage boundaries sit
+  /// immediately after hook-site emits, so a perturbation at a site
+  /// affects only the site's own stage and later ones.
+  [[nodiscard]] virtual int num_stages() const = 0;
 
   /// Runs stages [first, last) of an inference-only forward pass
   /// (train=false semantics; safe to call concurrently from several
@@ -54,10 +62,13 @@ class CapsModel {
   /// `at[first]` populated (`at[0]` = {x}); when `record` is true every
   /// executed stage k also stores its boundary tensors into `at[k + 1]`.
   /// Returns the class capsules when last == num_stages(), otherwise an
-  /// empty tensor. Running [0, num_stages()) is bit-identical to
-  /// forward(x, false, hook).
-  virtual Tensor forward_range(int first, int last, StageState& state,
-                               PerturbationHook* hook, bool record);
+  /// empty tensor. forward() runs the same stage loop, so running
+  /// [0, num_stages()) is bit-identical to forward(x, false, hook).
+  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
+                       bool record) {
+    return run(first, last, state.at[static_cast<std::size_t>(first)], /*train=*/false, hook,
+               record ? &state : nullptr);
+  }
 
   /// Backward from dL/d(class capsules); must follow forward(train=true).
   virtual Tensor backward(const Tensor& grad_v) = 0;
@@ -78,15 +89,40 @@ class CapsModel {
   [[nodiscard]] static Tensor class_lengths(const Tensor& v) {
     return ops::l2_norm_last_axis(v);
   }
-};
 
-/// Base fallback: the whole forward is one stage.
-inline Tensor CapsModel::forward_range(int first, int last, StageState& state,
-                                       PerturbationHook* hook, bool record) {
-  if (first != 0 || last != 1) return Tensor();
-  Tensor v = forward(state.at[0][0], /*train=*/false, hook);
-  if (record) state.at[1] = {v};
-  return v;
-}
+ protected:
+  /// Stage k of the forward: maps the tensors entering the stage to the
+  /// tensors leaving it, emitting the stage's hook sites. Each model's op
+  /// sequence is written only here. Stages never mutate `in` (it may be a
+  /// shared prefix-cache checkpoint or the caller's input) and write model
+  /// state only when `train` is true.
+  virtual std::vector<Tensor> run_stage(int k, std::span<const Tensor> in, bool train,
+                                        PerturbationHook* hook) = 0;
+
+  /// A one-tensor stage boundary, built by move.
+  [[nodiscard]] static std::vector<Tensor> boundary(Tensor t) {
+    std::vector<Tensor> out;
+    out.push_back(std::move(t));
+    return out;
+  }
+
+ private:
+  /// The one stage loop behind forward() and forward_range(). Boundaries
+  /// move from stage to stage (into `record->at[k + 1]` when recording).
+  Tensor run(int first, int last, std::span<const Tensor> entry, bool train,
+             PerturbationHook* hook, StageState* record) {
+    std::vector<Tensor> scratch;
+    std::span<const Tensor> cur = entry;
+    for (int k = first; k < last; ++k) {
+      std::vector<Tensor>& slot =
+          record != nullptr ? record->at[static_cast<std::size_t>(k) + 1] : scratch;
+      slot = run_stage(k, cur, train, hook);  // `cur` may alias `slot` until the move.
+      cur = slot;
+    }
+    if (last != num_stages()) return Tensor();
+    if (record == nullptr && first < last) return std::move(scratch[0]);
+    return cur[0];
+  }
+};
 
 }  // namespace redcane::capsnet

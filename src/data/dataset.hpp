@@ -3,7 +3,7 @@
 // The paper evaluates on MNIST, Fashion-MNIST, CIFAR-10 and SVHN. Those
 // archives are not available offline, so src/data generates deterministic
 // synthetic stand-ins with the same tensor shapes, class counts and a
-// learnable class structure (DESIGN.md §4): per-class stroke/texture
+// learnable class structure: per-class stroke/texture
 // prototypes plus shift/amplitude/pixel-noise augmentation.
 #pragma once
 

@@ -1,7 +1,7 @@
 // Per-operation unit energies (paper Table I): 8-bit fixed-point units
 // synthesized in 45 nm CMOS with Synopsys Design Compiler. We embed the
 // published values as the calibration table of the energy model
-// (DESIGN.md §4 — the paper itself treats them as fixed constants).
+// (the paper itself treats them as fixed constants).
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 // Trainable-layer interface of the NN substrate.
 //
 // The paper trains its models in TensorFlow; this reproduction replaces
-// that substrate with explicit per-layer forward/backward passes (see
-// DESIGN.md §4). Layers cache whatever they need between forward and
-// backward; the caller drives plain SGD-style loops (capsnet/trainer.*).
+// that substrate with explicit per-layer forward/backward passes. Layers
+// cache whatever they need between forward and backward; the caller drives plain SGD-style loops (capsnet/trainer.*).
 #pragma once
 
 #include <cmath>

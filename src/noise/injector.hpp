@@ -40,7 +40,7 @@ class GaussianInjector final : public capsnet::PerturbationHook {
   [[nodiscard]] std::int64_t injections() const { return injections_; }
 
   /// Number of sites visited (perturbed or not) — the exploration-cost
-  /// unit of the paper's Step-4 pruning argument (DESIGN.md D3).
+  /// unit of the paper's Step-4 pruning argument.
   [[nodiscard]] std::int64_t sites_visited() const { return sites_visited_; }
 
  private:

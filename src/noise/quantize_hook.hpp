@@ -2,9 +2,9 @@
 // datapath by round-tripping selected tensors through the min-max
 // quantizer (paper Eq. 1).
 //
-// This powers the D4 ablation (DESIGN.md): the paper adopts an 8-bit
-// wordlength citing [17]; sweeping b shows where accuracy actually starts
-// to fall on our benchmarks.
+// This powers the wordlength ablation (bench_ablation_wordlength): the
+// paper adopts an 8-bit wordlength citing [17]; sweeping b shows where
+// accuracy actually starts to fall on our benchmarks.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Quantized 2D convolution executed through a behavioral approximate
 // multiplier — the "ground truth" path of the model-vs-real validation
-// (DESIGN.md decision D1, paper Table IV).
+// (paper Table IV; Step 7 in docs/methodology.md).
 //
 // Inputs and weights are affine-quantized to 8 bits; every product of the
 // convolution's dot products goes through the chosen Multiplier; the

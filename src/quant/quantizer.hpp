@@ -6,7 +6,7 @@
 // float; quantization is used (a) to derive representative 8-bit operand
 // pools for error profiling under "real" input distributions and (b) to
 // execute convolutions through behavioral approximate multipliers for the
-// model-vs-real validation (DESIGN.md D1).
+// model-vs-real validation (Step 7 in docs/methodology.md).
 #pragma once
 
 #include <cstdint>

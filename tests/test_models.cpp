@@ -106,6 +106,48 @@ TEST(DeepCapsModel, BackwardProducesInputGradient) {
   EXPECT_GT(nonzero_params, static_cast<int>(model.params().size() / 2));
 }
 
+// Input gradient of a train forward on `x` followed by backward. With
+// `eval_between`, an eval forward and a full forward_range over `probe`
+// (a different batch size) run between the two; stages may write the
+// caches backward reads only in train mode, so the gradient must not move.
+template <typename Model, typename Config>
+Tensor input_grad(const Config& cfg, const Tensor& x, const Tensor* probe) {
+  Rng rng(21);
+  Model model(cfg, rng);
+  const Tensor v = model.forward(x, /*train=*/true, nullptr);
+  if (probe != nullptr) {
+    (void)model.forward(*probe, /*train=*/false, nullptr);
+    StageState st;
+    st.at.resize(static_cast<std::size_t>(model.num_stages()) + 1);
+    st.at[0] = {*probe};
+    (void)model.forward_range(0, model.num_stages(), st, nullptr, /*record=*/true);
+  }
+  return model.backward(v);
+}
+
+template <typename Model, typename Config>
+void expect_eval_leaves_train_caches(const Config& cfg, const Shape& input) {
+  Rng drng(22);
+  const Shape batch4{4, input.dim(0), input.dim(1), input.dim(2)};
+  const Shape batch2{2, input.dim(0), input.dim(1), input.dim(2)};
+  const Tensor x = ops::uniform(batch4, 0.0, 1.0, drng);
+  const Tensor probe = ops::uniform(batch2, 0.0, 1.0, drng);
+  const Tensor want = input_grad<Model>(cfg, x, nullptr);
+  const Tensor got = input_grad<Model>(cfg, x, &probe);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(got.at(i), want.at(i)) << "input gradient diverges at " << i;
+  }
+}
+
+TEST(CapsNetModel, EvalForwardsLeaveTrainCachesAlone) {
+  expect_eval_leaves_train_caches<CapsNetModel>(CapsNetConfig::tiny(), Shape{28, 28, 1});
+}
+
+TEST(DeepCapsModel, EvalForwardsLeaveTrainCachesAlone) {
+  expect_eval_leaves_train_caches<DeepCapsModel>(DeepCapsConfig::tiny(), Shape{16, 16, 3});
+}
+
 TEST(Serialize, RoundTripRestoresOutputs) {
   Rng rng_a(10);
   CapsNetModel a(CapsNetConfig::tiny(), rng_a);
