@@ -152,10 +152,10 @@ int run(bool quick, const std::string& json_path) {
     {
       // Cold table preparation: the cost the process-wide cache removes
       // from every call after the first.
-      std::vector<std::uint32_t> raw(256 * 256);
+      std::vector<std::uint32_t> raw(approx::kProductTableSize);
       const auto t0 = Clock::now();
       for (int r = 0; r < reps; ++r) {
-        quant::build_product_lut(&mul, raw.data());
+        approx::build_product_table(mul, raw.data());
         (void)gemm::lk::LutTables::build(raw.data(), (1 << spec.bits) - 1);
       }
       phase_build_ms = ms_since(t0) / reps;

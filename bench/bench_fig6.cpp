@@ -74,14 +74,13 @@ int main() {
   // Library-wide Gaussianity census (paper: 31 of 35 components).
   bench::print_header("Library census: gaussian-like error profiles (9-MAC)");
   int gaussian_like = 0;
+  approx::ProfileConfig cfg;
+  cfg.samples = 20000;
+  cfg.chain_length = 9;
+  cfg.seed = 6;
+  const approx::OperandStream stream(approx::InputDistribution::uniform(), cfg);
   for (const approx::Multiplier* m : approx::multiplier_library()) {
-    approx::ProfileConfig cfg;
-    cfg.samples = 20000;
-    cfg.chain_length = 9;
-    cfg.seed = 6;
-    const approx::ErrorProfile p =
-        approx::profile_multiplier(*m, approx::InputDistribution::uniform(), cfg);
-    if (p.gaussian_like) ++gaussian_like;
+    if (stream.profile(*m).gaussian_like) ++gaussian_like;
   }
   std::printf("gaussian-like: %d of %zu components (paper: 31 of 35)\n", gaussian_like,
               approx::multiplier_library().size());

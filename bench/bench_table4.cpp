@@ -53,9 +53,11 @@ int main() {
   int rows = 0;
   bool monotone_power = true;
   double prev_power = 1e18;
+  const approx::OperandStream modeled_stream(modeled_dist, cfg);
+  const approx::OperandStream real_stream(real_dist, cfg);
   for (const approx::Multiplier* m : approx::paper_analog_multipliers()) {
-    const approx::ErrorProfile mod = approx::profile_multiplier(*m, modeled_dist, cfg);
-    const approx::ErrorProfile real = approx::profile_multiplier(*m, real_dist, cfg);
+    const approx::ErrorProfile mod = modeled_stream.profile(*m);
+    const approx::ErrorProfile real = real_stream.profile(*m);
     std::printf("%-18s %-12s %4.0f(%3.0f%%) %4.0f      | %+.4f %8.4f | %+.4f %8.4f\n",
                 m->info().name.c_str(), m->info().paper_analog.c_str(),
                 m->info().power_uw, -100.0 * m->info().power_saving(exact_power),

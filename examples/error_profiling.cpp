@@ -6,6 +6,8 @@
 //   ./error_profiling [component_name]
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "approx/error_profile.hpp"
 #include "approx/library.hpp"
@@ -18,21 +20,25 @@ int main(int argc, char** argv) {
   std::printf("%-18s %-10s %5s | %9s %9s %9s | %8s %8s %5s\n", "component", "family",
               "P[uW]", "std(1)", "std(9)", "std(81)", "NM(9)", "NA(9)", "gauss");
 
+  // One input set per chain length, shared by every component.
+  std::vector<approx::OperandStream> streams;
+  for (int chain : {1, 9, 81}) {
+    approx::ProfileConfig cfg;
+    cfg.samples = 30000;
+    cfg.chain_length = chain;
+    cfg.seed = 12;
+    streams.emplace_back(approx::InputDistribution::uniform(), cfg);
+  }
+
   for (const approx::Multiplier* m : approx::multiplier_library()) {
     if (!target.empty() && m->info().name != target) continue;
 
     double stds[3] = {0, 0, 0};
     approx::ErrorProfile nine;
-    int idx = 0;
-    for (int chain : {1, 9, 81}) {
-      approx::ProfileConfig cfg;
-      cfg.samples = 30000;
-      cfg.chain_length = chain;
-      cfg.seed = 12;
-      const approx::ErrorProfile p =
-          approx::profile_multiplier(*m, approx::InputDistribution::uniform(), cfg);
-      stds[idx++] = p.error_moments.stddev;
-      if (chain == 9) nine = p;
+    for (std::size_t idx = 0; idx < streams.size(); ++idx) {
+      approx::ErrorProfile p = streams[idx].profile(*m);
+      stds[idx] = p.error_moments.stddev;
+      if (idx == 1) nine = std::move(p);
     }
     std::printf("%-18s %-10s %5.0f | %9.1f %9.1f %9.1f | %8.5f %+8.5f %5s\n",
                 m->info().name.c_str(), m->info().family.c_str(), m->info().power_uw,

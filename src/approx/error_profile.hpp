@@ -6,9 +6,14 @@
 // 9-/81-long MAC chains, then fits Gaussian moments and derives the
 // range-relative noise parameters:
 //
-//     NM = std(Δ) / R(X)      NA = mean(Δ) / R(X)
+//     NM = std(Δ) / R      NA = mean(Δ) / R      R = chain_length * 255^2
 //
-// where R(X) is the dynamic range of the *exact* output population.
+// where R is the full representable output range of an exact chain of
+// 8x8 MACs, not the range of the sampled outputs.
+//
+// Every component is profiled over the same input set: an OperandStream
+// draws it once, and profiling a component builds its 256x256 product table
+// once and sums every chain by table reads.
 #pragma once
 
 #include <cstdint>
@@ -58,17 +63,40 @@ struct ErrorProfile {
   int chain_length = 1;            ///< MACs per sample (1 / 9 / 81).
 
   stats::Moments error_moments;   ///< Moments of Δ.
-  stats::Moments exact_moments;   ///< Moments of the exact outputs (gives R(X)).
-  double nm = 0.0;                ///< std(Δ) / R(exact outputs).
-  double na = 0.0;                ///< mean(Δ) / R(exact outputs).
+  stats::Moments exact_moments;   ///< Moments of the exact chain outputs.
+  double nm = 0.0;                ///< std(Δ) / (chain_length * 255^2).
+  double na = 0.0;                ///< mean(Δ) / (chain_length * 255^2).
   double gaussian_distance = 0.0; ///< L1 distance of Δ histogram to Gaussian fit.
   bool gaussian_like = false;     ///< Paper: 31 of 35 components qualify.
 
   std::vector<double> error_samples;  ///< Raw Δ samples (for histograms).
 };
 
+/// The input set of one profiling run: `cfg.samples` chains of
+/// `cfg.chain_length` operand pairs, drawn once and shared by every
+/// component profiled from it.
+class OperandStream {
+ public:
+  /// Draws the operands from Rng(cfg.seed) in the order a0, b0, a1, b1, ...
+  /// per sample, samples in order, and sums each chain exactly. Aborts if
+  /// cfg.samples < 1 or cfg.chain_length < 1.
+  OperandStream(const InputDistribution& dist, const ProfileConfig& cfg);
+
+  /// Profiles `mul` over this stream: builds its product table once, then
+  /// sums every chain by table reads.
+  [[nodiscard]] ErrorProfile profile(const Multiplier& mul) const;
+
+ private:
+  std::string label_;
+  int chain_length_;
+  std::vector<std::uint16_t> pairs_;  ///< (a << 8) | b per MAC, sample-major.
+  std::vector<std::uint64_t> exact_;  ///< Exact chain sum per sample.
+  stats::Moments exact_moments_;
+};
+
 /// Profiles `mul` under `dist`: runs `cfg.samples` independent chains of
-/// `cfg.chain_length` MACs and aggregates errors.
+/// `cfg.chain_length` MACs and aggregates errors. Same as
+/// OperandStream(dist, cfg).profile(mul).
 [[nodiscard]] ErrorProfile profile_multiplier(const Multiplier& mul,
                                               const InputDistribution& dist,
                                               const ProfileConfig& cfg);

@@ -203,6 +203,15 @@ class HybridTruncMultiplier final : public Multiplier {
 
 }  // namespace
 
+void build_product_table(const Multiplier& mul, std::uint32_t* table) {
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      table[(a << 8) | b] =
+          mul.multiply(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b));
+    }
+  }
+}
+
 std::unique_ptr<Multiplier> make_exact_multiplier(MultiplierInfo info) {
   return std::make_unique<ExactMultiplier>(std::move(info));
 }

@@ -19,6 +19,7 @@
 //   kulkarni    — recursive 2x2 underdesigned multiplier (3*3 = 7)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,6 +65,15 @@ class Multiplier {
  private:
   MultiplierInfo info_;
 };
+
+/// Entries of a product table: one per (a, b) operand pair.
+inline constexpr std::size_t kProductTableSize = 256 * 256;
+
+/// Materializes the product table of `mul` into `table` (kProductTableSize
+/// entries, table[(a << 8) | b] = mul.multiply(a, b)). One pass of 65536
+/// virtual calls replaces one call per MAC for every reader of the table:
+/// the emulated LUT-GEMM datapath and the error profiler.
+void build_product_table(const Multiplier& mul, std::uint32_t* table);
 
 /// Factory helpers (power/area filled by the library; see library.cpp).
 std::unique_ptr<Multiplier> make_exact_multiplier(MultiplierInfo info);

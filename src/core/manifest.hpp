@@ -27,8 +27,8 @@ namespace redcane::core {
 struct ManifestSite {
   Site site;
   std::string component;      ///< Library name ("axm_..."); "" means exact.
-  double nm = 0.0;            ///< Profiled noise magnitude, std(Δ)/R(X).
-  double na = 0.0;            ///< Profiled noise average, mean(Δ)/R(X).
+  double nm = 0.0;            ///< Profiled noise magnitude, std(Δ)/(chain_length*255^2).
+  double na = 0.0;            ///< Profiled noise average, mean(Δ)/(chain_length*255^2).
   double tolerable_nm = 0.0;  ///< NM budget the selection satisfied (Steps 3/5).
 };
 

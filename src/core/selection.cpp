@@ -7,13 +7,14 @@ namespace redcane::core {
 std::vector<ProfiledComponent> profile_library(const approx::InputDistribution& dist,
                                                int chain_length, std::int64_t samples,
                                                std::uint64_t seed) {
-  std::vector<ProfiledComponent> out;
   approx::ProfileConfig cfg;
   cfg.chain_length = chain_length;
   cfg.samples = samples;
   cfg.seed = seed;
+  const approx::OperandStream stream(dist, cfg);
+  std::vector<ProfiledComponent> out;
   for (const approx::Multiplier* m : approx::multiplier_library()) {
-    const approx::ErrorProfile p = approx::profile_multiplier(*m, dist, cfg);
+    const approx::ErrorProfile p = stream.profile(*m);
     out.push_back({m, p.nm, p.na, p.gaussian_like});
   }
   return out;
@@ -25,6 +26,8 @@ const approx::Multiplier* select_component(const std::vector<ProfiledComponent>&
   double best_power = best->info().power_uw;
   for (const ProfiledComponent& pc : profiled) {
     if (!pc.gaussian_like) continue;  // Paper's model covers Gaussian-like errors.
+    // A NaN would pass the rejection below: every comparison with it is false.
+    if (!std::isfinite(pc.nm) || !std::isfinite(pc.na)) continue;
     if (pc.nm > tolerable_nm || std::abs(pc.na) > tolerable_nm) continue;
     if (pc.mul->info().power_uw < best_power) {
       best = pc.mul;

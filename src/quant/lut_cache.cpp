@@ -8,7 +8,6 @@
 
 #include "approx/library.hpp"
 #include "obs/metrics.hpp"
-#include "quant/lut_gemm.hpp"
 
 namespace redcane::quant {
 namespace {
@@ -58,8 +57,8 @@ const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul, int bits
   // calls + the nibble proofs) is the expensive part, and concurrent
   // first-touch builders of the same key must not serialize behind it.
   // The loser of the insert race discards its build.
-  std::vector<std::uint32_t> raw(256 * 256);
-  build_product_lut(&m, raw.data());
+  std::vector<std::uint32_t> raw(approx::kProductTableSize);
+  approx::build_product_table(m, raw.data());
   auto built = std::make_unique<gemm::lk::LutTables>(
       gemm::lk::LutTables::build(raw.data(), (1 << bits) - 1));
 

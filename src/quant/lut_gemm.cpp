@@ -1,6 +1,5 @@
 #include "quant/lut_gemm.hpp"
 
-#include "approx/library.hpp"
 #include "quant/lut_cache.hpp"
 #include "tensor/lut_kernel.hpp"
 #include "tensor/workspace.hpp"
@@ -21,16 +20,6 @@ class AdderAccum final : public gemm::U32Accum {
 };
 
 }  // namespace
-
-void build_product_lut(const approx::Multiplier* mul, std::uint32_t* lut) {
-  const approx::Multiplier& m = mul == nullptr ? approx::exact_multiplier() : *mul;
-  for (int a = 0; a < 256; ++a) {
-    for (int b = 0; b < 256; ++b) {
-      lut[(a << 8) | b] =
-          m.multiply(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b));
-    }
-  }
-}
 
 void lut_gemm_dequant(std::int64_t m, std::int64_t n, std::int64_t k,
                       const std::uint8_t* a_codes, const std::uint8_t* a_mask,

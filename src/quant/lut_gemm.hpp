@@ -34,13 +34,6 @@ struct MacUnit {
   const approx::Adder* adder = nullptr;     ///< Null = exact accumulation.
 };
 
-/// Materializes the 256x256 product table of `mul` (the exact multiplier
-/// when null) into `lut`: one table build per layer call replaces one
-/// virtual multiplier call per code pair. Hot paths should go through
-/// quant::lut_cache_get (quant/lut_cache.hpp) instead, which memoizes the
-/// build and prepares the SIMD dispatch metadata.
-void build_product_lut(const approx::Multiplier* mul, std::uint32_t* lut);
-
 /// The core: A codes [m, k] (optional validity mask, null = all taps
 /// valid), B codes [k, n], a prepared product table (usually from the
 /// process-wide cache), and the affine params both operands were quantized

@@ -45,6 +45,9 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
+  // Powers of two: the rejection limit below is ~0, so nothing is rejected,
+  // and x % n == x & (n - 1). Same value for every state, no division.
+  if ((n & (n - 1)) == 0) return next_u64() & (n - 1);
   // Rejection sampling to avoid modulo bias.
   const std::uint64_t limit = ~0ULL - (~0ULL % n + 1) % n;
   std::uint64_t x = next_u64();

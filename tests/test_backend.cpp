@@ -60,7 +60,7 @@ TEST(LutChainKernel, ExactAccumMatchesExactKernelAndMasksAgree) {
   for (auto& v : mask) v = static_cast<std::uint8_t>(rng.next_u64() % 2);
   for (auto& v : b) v = static_cast<std::uint8_t>(rng.next_u64() % 256);
   std::vector<std::uint32_t> lut(256 * 256);
-  quant::build_product_lut(&approx::multiplier_by_name("axm_drum4_dm1"), lut.data());
+  approx::build_product_table(approx::multiplier_by_name("axm_drum4_dm1"), lut.data());
 
   std::vector<std::uint64_t> qq64(static_cast<std::size_t>(m * n));
   std::vector<std::uint64_t> qw(static_cast<std::size_t>(m * n));

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "approx/library.hpp"
+#include "approx/mac_chain.hpp"
+#include "core/selection.hpp"
 
 namespace redcane::approx {
 namespace {
@@ -92,6 +95,99 @@ TEST(ErrorProfile, HistogramCoversAllSamples) {
                                             InputDistribution::uniform(), quick(9));
   const stats::Histogram h = error_histogram(p, 64);
   EXPECT_EQ(h.total(), static_cast<std::int64_t>(p.error_samples.size()));
+}
+
+// The profiling algorithm as first written, kept as the oracle of the
+// shared-stream implementation: a fresh Rng(seed) per component, one
+// run_mac_chain (a virtual multiply per MAC) per sample.
+ErrorProfile oracle_profile(const Multiplier& mul, const InputDistribution& dist,
+                            const ProfileConfig& cfg) {
+  Rng rng(cfg.seed);
+  ErrorProfile p;
+  p.multiplier_name = mul.info().name;
+  p.distribution_label = dist.label();
+  p.chain_length = cfg.chain_length;
+  std::vector<double> exact_outputs;
+  std::vector<std::uint8_t> a(static_cast<std::size_t>(cfg.chain_length));
+  std::vector<std::uint8_t> b(a.size());
+  for (std::int64_t s = 0; s < cfg.samples; ++s) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = dist.sample(rng);
+      b[i] = dist.sample(rng);
+    }
+    const MacResult r = run_mac_chain(mul, a, b);
+    p.error_samples.push_back(static_cast<double>(r.error()));
+    exact_outputs.push_back(static_cast<double>(r.exact));
+  }
+  p.error_moments = stats::moments(std::span<const double>(p.error_samples));
+  p.exact_moments = stats::moments(std::span<const double>(exact_outputs));
+  const double range = static_cast<double>(cfg.chain_length) * 255.0 * 255.0;
+  p.nm = p.error_moments.stddev / range;
+  p.na = p.error_moments.mean / range;
+  const stats::Histogram h = error_histogram(p, 64);
+  p.gaussian_distance =
+      stats::gaussian_fit_distance(h, p.error_moments.mean, p.error_moments.stddev);
+  p.gaussian_like = p.gaussian_distance < kGaussianLikeThreshold;
+  return p;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_moments_bitwise(const stats::Moments& got, const stats::Moments& want,
+                            const char* what) {
+  EXPECT_EQ(bits(got.mean), bits(want.mean)) << what;
+  EXPECT_EQ(bits(got.stddev), bits(want.stddev)) << what;
+  EXPECT_EQ(bits(got.min), bits(want.min)) << what;
+  EXPECT_EQ(bits(got.max), bits(want.max)) << what;
+  EXPECT_EQ(got.count, want.count) << what;
+}
+
+TEST(ErrorProfile, SharedStreamMatchesPerComponentOracleBitwise) {
+  std::vector<std::uint8_t> pool;  // 200 entries: uniform_index's rejection path.
+  for (int i = 0; i < 200; ++i) pool.push_back(static_cast<std::uint8_t>((i * 37) % 97));
+  for (const InputDistribution& dist :
+       {InputDistribution::uniform(), InputDistribution::empirical(pool)}) {
+    for (const int chain : {1, 9, 81}) {
+      ProfileConfig cfg;
+      cfg.samples = 300;
+      cfg.chain_length = chain;
+      cfg.seed = 5;
+      const std::vector<core::ProfiledComponent> lib =
+          core::profile_library(dist, chain, cfg.samples, cfg.seed);
+      ASSERT_EQ(lib.size(), multiplier_library().size());
+      for (std::size_t c = 0; c < lib.size(); ++c) {
+        const Multiplier& m = *multiplier_library()[c];
+        SCOPED_TRACE(m.info().name + " " + dist.label() + " chain " + std::to_string(chain));
+        const ErrorProfile got = profile_multiplier(m, dist, cfg);
+        const ErrorProfile want = oracle_profile(m, dist, cfg);
+        EXPECT_EQ(got.multiplier_name, want.multiplier_name);
+        EXPECT_EQ(got.distribution_label, want.distribution_label);
+        EXPECT_EQ(got.chain_length, want.chain_length);
+        expect_moments_bitwise(got.error_moments, want.error_moments, "error_moments");
+        expect_moments_bitwise(got.exact_moments, want.exact_moments, "exact_moments");
+        EXPECT_EQ(bits(got.nm), bits(want.nm));
+        EXPECT_EQ(bits(got.na), bits(want.na));
+        EXPECT_EQ(bits(got.gaussian_distance), bits(want.gaussian_distance));
+        EXPECT_EQ(got.gaussian_like, want.gaussian_like);
+        ASSERT_EQ(got.error_samples.size(), want.error_samples.size());
+        for (std::size_t s = 0; s < got.error_samples.size(); ++s) {
+          ASSERT_EQ(bits(got.error_samples[s]), bits(want.error_samples[s])) << "sample " << s;
+        }
+        EXPECT_EQ(lib[c].mul, &m);
+        EXPECT_EQ(bits(lib[c].nm), bits(got.nm));
+        EXPECT_EQ(bits(lib[c].na), bits(got.na));
+        EXPECT_EQ(lib[c].gaussian_like, got.gaussian_like);
+      }
+    }
+  }
+}
+
+TEST(ErrorProfileDeathTest, RejectsEmptyChainsAndSampleSets) {
+  EXPECT_DEATH((void)profile_multiplier(exact_multiplier(), InputDistribution::uniform(),
+                                        quick(0)),
+               "chain_length >= 1");
+  EXPECT_DEATH((void)core::profile_library(InputDistribution::uniform(), 9, 0, 1),
+               "samples >= 1");
 }
 
 TEST(InputDistribution, UniformCoversByteRange) {

@@ -168,11 +168,11 @@ void expect_tiers_match_oracle(const CodeProblem& p, const std::uint32_t* raw,
 
 TEST(LutKernel, AllTiersMatchScalarOracleAcrossShapesMasksAndTables) {
   std::vector<std::uint32_t> lut_exact(256 * 256);
-  quant::build_product_lut(nullptr, lut_exact.data());
+  approx::build_product_table(approx::exact_multiplier(), lut_exact.data());
   const LutTables t_exact = LutTables::build(lut_exact.data());
 
   std::vector<std::uint32_t> lut_drum(256 * 256);
-  quant::build_product_lut(&approx::multiplier_by_name("axm_drum4_dm1"), lut_drum.data());
+  approx::build_product_table(approx::multiplier_by_name("axm_drum4_dm1"), lut_drum.data());
   const LutTables t_drum = LutTables::build(lut_drum.data());
 
   // Shapes straddle the lane widths: n in {1, 5, 16, 33, 40} exercises the
@@ -195,7 +195,7 @@ TEST(LutKernel, AllTiersMatchScalarOracleAcrossShapesMasksAndTables) {
 
 TEST(LutKernel, NibbleDecompositionProvenExactlyPerRow) {
   std::vector<std::uint32_t> lut_exact(256 * 256);
-  quant::build_product_lut(nullptr, lut_exact.data());
+  approx::build_product_table(approx::exact_multiplier(), lut_exact.data());
   const LutTables t_exact = LutTables::build(lut_exact.data());
   // a*b = a*(b>>4)*16 + a*(b&15), both halves <= 255*15*16 < 2^16: every
   // exact row decomposes.

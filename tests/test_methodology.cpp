@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "capsnet/capsnet_model.hpp"
@@ -165,6 +166,17 @@ TEST(Selection, LargeToleranceSelectsCheapComponent) {
       profile_library(approx::InputDistribution::uniform(), 9, 2000, 3);
   const approx::Multiplier* m = select_component(profiled, 0.5);
   EXPECT_LT(m->info().power_uw, 200.0);
+}
+
+TEST(Selection, NonFiniteEntryIsSkipped) {
+  // Every comparison with NaN is false, so an unguarded NM/NA filter would
+  // accept this entry and pick the library's most aggressive component.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<ProfiledComponent> profiled = {
+      {&approx::exact_multiplier(), 0.0, 0.0, true},
+      {&approx::multiplier_by_name("axm_kulkarni_qkx"), nan, nan, true},
+  };
+  EXPECT_EQ(select_component(profiled, 0.0)->info().name, "axm_exact");
 }
 
 TEST(Selection, MonotoneInTolerance) {

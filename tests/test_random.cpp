@@ -49,6 +49,22 @@ TEST(Rng, UniformIndexCoversAllValues) {
   for (int c : counts) EXPECT_GT(c, 800);
 }
 
+TEST(Rng, UniformIndexPowerOfTwoMatchesRejectionFormula) {
+  // The power-of-two fast path must return exactly what rejection sampling
+  // returns from the same state, and consume the same draws.
+  for (const std::uint64_t n : {1ULL, 2ULL, 256ULL, 1ULL << 32, 1ULL << 63}) {
+    Rng fast(23);
+    Rng ref(23);
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t limit = ~0ULL - (~0ULL % n + 1) % n;
+      std::uint64_t x = ref.next_u64();
+      while (x > limit) x = ref.next_u64();
+      ASSERT_EQ(fast.uniform_index(n), x % n) << "n=" << n << " draw " << i;
+    }
+    EXPECT_EQ(fast.next_u64(), ref.next_u64()) << "n=" << n;
+  }
+}
+
 TEST(Rng, NormalMomentsCloseToStandard) {
   Rng rng(13);
   double sum = 0.0;
